@@ -6,6 +6,10 @@ complete_objects on by default).
         <polygon.poly> <out> [--non-complete] [--format xml|parquet]
 
 Owns the Ray session (guarded init; the library never calls ray.init).
+The session is sized from the environment:
+
+    RAY_GRAFT_CPUS unset   Ray sizes the session from the host's CPU count
+    RAY_GRAFT_CPUS=N       exactly num_cpus=N
 """
 
 from __future__ import annotations
@@ -16,14 +20,22 @@ import sys
 import tempfile
 
 
-def _cmd_cut(args) -> int:
+def _init_ray() -> None:
+    """Start the local Ray session once per process and silence progress
+    bars. `RAY_GRAFT_CPUS=N` sets `num_cpus=N`; unset, Ray sizes the
+    session from the host's CPU count."""
     import ray
     if not ray.is_initialized():
-        ray.init(address="local",
-                 num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "32")),
+        cpus = os.environ.get("RAY_GRAFT_CPUS")
+        ray.init(address="local", num_cpus=int(cpus) if cpus else None,
                  include_dashboard=False, logging_level="ERROR")
     from ray.data import DataContext
     DataContext.get_current().enable_progress_bars = False
+
+
+def _cmd_cut(args) -> int:
+    import ray
+    _init_ray()
 
     import ray.data as rd
     from .geometry.polygon import PolygonIndex, load_polygon_rings
@@ -110,12 +122,7 @@ def _cmd_cut(args) -> int:
 
 def _cmd_flagship(args) -> int:
     import ray
-    if not ray.is_initialized():
-        ray.init(address="local",
-                 num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "32")),
-                 include_dashboard=False, logging_level="ERROR")
-    from ray.data import DataContext
-    DataContext.get_current().enable_progress_bars = False
+    _init_ray()
     from .pipelines.flagship import flagship_resumable
     report = flagship_resumable(args.sf_dir, args.output)
     print(f"completed={report['completed']} skipped={report['skipped']} "
@@ -128,12 +135,7 @@ def _cmd_curate(args) -> int:
     import glob
 
     import ray
-    if not ray.is_initialized():
-        ray.init(address="local",
-                 num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "32")),
-                 include_dashboard=False, logging_level="ERROR")
-    from ray.data import DataContext
-    DataContext.get_current().enable_progress_bars = False
+    _init_ray()
     from .pipelines.curate import curate_documents
     paths = sorted(p for pat in args.inputs for p in glob.glob(pat))
     if not paths:
@@ -191,12 +193,7 @@ def _cmd_curate_images(args) -> int:
     import glob
 
     import ray
-    if not ray.is_initialized():
-        ray.init(address="local",
-                 num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "32")),
-                 include_dashboard=False, logging_level="ERROR")
-    from ray.data import DataContext
-    DataContext.get_current().enable_progress_bars = False
+    _init_ray()
     from .pipelines.curate_images import curate_images
     paths = sorted(p for pat in args.inputs for p in glob.glob(pat))
     if not paths:
@@ -229,12 +226,7 @@ def _cmd_export_wds(args) -> int:
     import glob
 
     import ray
-    if not ray.is_initialized():
-        ray.init(address="local",
-                 num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "32")),
-                 include_dashboard=False, logging_level="ERROR")
-    from ray.data import DataContext
-    DataContext.get_current().enable_progress_bars = False
+    _init_ray()
     import ray.data as rd
 
     from .sources.tables import strip_schema_metadata
@@ -263,13 +255,7 @@ def _cmd_export_wds(args) -> int:
 def _cmd_apply_change(args) -> int:
     """osmium apply-changes analog: base corpus + .osc -> updated
     OSM XML (elements sorted by id per kind, deterministic)."""
-    import ray
-    if not ray.is_initialized():
-        ray.init(address="local",
-                 num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "32")),
-                 include_dashboard=False, logging_level="ERROR")
-    from ray.data import DataContext
-    DataContext.get_current().enable_progress_bars = False
+    _init_ray()
 
     import ray.data as rd
 
@@ -314,13 +300,7 @@ def _load_corpus(path: str):
 def _cmd_osm_tool(args) -> int:
     """merge / getid / renumber: corpus-maintenance verbs sharing the
     sorted-XML output path."""
-    import ray
-    if not ray.is_initialized():
-        ray.init(address="local",
-                 num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "32")),
-                 include_dashboard=False, logging_level="ERROR")
-    from ray.data import DataContext
-    DataContext.get_current().enable_progress_bars = False
+    _init_ray()
 
     from .sources.osm_xml import write_osm_xml
 
@@ -360,13 +340,7 @@ def _cmd_cut_update(args) -> int:
     """Incremental extract maintenance: corpus + .osc -> updated cut
     output, reusing the persisted CutState when present (first run
     builds it)."""
-    import ray
-    if not ray.is_initialized():
-        ray.init(address="local",
-                 num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "32")),
-                 include_dashboard=False, logging_level="ERROR")
-    from ray.data import DataContext
-    DataContext.get_current().enable_progress_bars = False
+    _init_ray()
 
     from .geometry.polygon import PolygonIndex, load_polygon_rings
     from .pipelines.cut_incremental import (apply_osc_to_cut,
@@ -420,13 +394,7 @@ def _cmd_cut_update(args) -> int:
 
 def _cmd_fileinfo(args) -> int:
     """osmium fileinfo --extended analog over any corpus input."""
-    import ray
-    if not ray.is_initialized():
-        ray.init(address="local",
-                 num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "32")),
-                 include_dashboard=False, logging_level="ERROR")
-    from ray.data import DataContext
-    DataContext.get_current().enable_progress_bars = False
+    _init_ray()
 
     from .stages.fileinfo import corpus_info, format_info
     nodes, ways, rels = _load_corpus(args.input)
@@ -438,13 +406,7 @@ def _cmd_fileinfo(args) -> int:
 
 def _cmd_check_refs(args) -> int:
     """osmium check-refs analog: referential completeness audit."""
-    import ray
-    if not ray.is_initialized():
-        ray.init(address="local",
-                 num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "32")),
-                 include_dashboard=False, logging_level="ERROR")
-    from ray.data import DataContext
-    DataContext.get_current().enable_progress_bars = False
+    _init_ray()
 
     from .stages.osm_tools import check_refs
     nodes, ways, rels = _load_corpus(args.input)
@@ -463,13 +425,7 @@ def _cmd_check_refs(args) -> int:
 
 def _cmd_compact(args) -> int:
     """Small-file parquet compaction (optionally key-sorted)."""
-    import ray
-    if not ray.is_initialized():
-        ray.init(address="local",
-                 num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "32")),
-                 include_dashboard=False, logging_level="ERROR")
-    from ray.data import DataContext
-    DataContext.get_current().enable_progress_bars = False
+    _init_ray()
 
     from .sources.tables import compact_table
     cols = args.columns.split(",") if args.columns else None
@@ -483,13 +439,7 @@ def _cmd_compact(args) -> int:
 
 def _cmd_convert(args) -> int:
     """Streaming table format conversion."""
-    import ray
-    if not ray.is_initialized():
-        ray.init(address="local",
-                 num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "32")),
-                 include_dashboard=False, logging_level="ERROR")
-    from ray.data import DataContext
-    DataContext.get_current().enable_progress_bars = False
+    _init_ray()
 
     from .sources.tables import convert_table
     cols = args.columns.split(",") if args.columns else None
@@ -500,13 +450,7 @@ def _cmd_convert(args) -> int:
 
 def _cmd_tag_stats(args) -> int:
     """taginfo-style tag frequency readout for one element kind."""
-    import ray
-    if not ray.is_initialized():
-        ray.init(address="local",
-                 num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "32")),
-                 include_dashboard=False, logging_level="ERROR")
-    from ray.data import DataContext
-    DataContext.get_current().enable_progress_bars = False
+    _init_ray()
 
     from .stages.tag_stats import tag_stats
     corpus = _load_corpus(args.input)
@@ -524,13 +468,7 @@ def _cmd_tag_stats(args) -> int:
 
 def _cmd_export_geojson(args) -> int:
     """osmium export analog: corpus -> GeoJSON FeatureCollection."""
-    import ray
-    if not ray.is_initialized():
-        ray.init(address="local",
-                 num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "32")),
-                 include_dashboard=False, logging_level="ERROR")
-    from ray.data import DataContext
-    DataContext.get_current().enable_progress_bars = False
+    _init_ray()
 
     from .sources.geojson_export import write_geojson
     from .stages.locate import add_locations_to_ways
@@ -546,13 +484,7 @@ def _cmd_export_geojson(args) -> int:
 
 def _cmd_derive_change(args) -> int:
     """osmium derive-changes analog: old + new corpus -> .osc."""
-    import ray
-    if not ray.is_initialized():
-        ray.init(address="local",
-                 num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "32")),
-                 include_dashboard=False, logging_level="ERROR")
-    from ray.data import DataContext
-    DataContext.get_current().enable_progress_bars = False
+    _init_ray()
 
     from .sources.osm_change import derive_osc
     counts = derive_osc(_load_corpus(args.old), _load_corpus(args.new),
@@ -567,12 +499,7 @@ def _cmd_diff(args) -> int:
     import glob
 
     import ray
-    if not ray.is_initialized():
-        ray.init(address="local",
-                 num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "32")),
-                 include_dashboard=False, logging_level="ERROR")
-    from ray.data import DataContext
-    DataContext.get_current().enable_progress_bars = False
+    _init_ray()
     import ray.data as rd
 
     from .sources.tables import strip_schema_metadata
@@ -608,12 +535,7 @@ def _cmd_layout(args) -> int:
     import glob
 
     import ray
-    if not ray.is_initialized():
-        ray.init(address="local",
-                 num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "32")),
-                 include_dashboard=False, logging_level="ERROR")
-    from ray.data import DataContext
-    DataContext.get_current().enable_progress_bars = False
+    _init_ray()
     import ray.data as rd
 
     from .sources.tables import strip_schema_metadata
@@ -634,13 +556,7 @@ def _cmd_layout(args) -> int:
 
 
 def _cmd_clip(args) -> int:
-    import ray
-    if not ray.is_initialized():
-        ray.init(address="local",
-                 num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "32")),
-                 include_dashboard=False, logging_level="ERROR")
-    from ray.data import DataContext
-    DataContext.get_current().enable_progress_bars = False
+    _init_ray()
 
     import ray.data as rd
     from .geometry.polygon import load_polygon_rings
@@ -665,13 +581,7 @@ def _cmd_clip(args) -> int:
 
 
 def _cmd_cut_multi(args) -> int:
-    import ray
-    if not ray.is_initialized():
-        ray.init(address="local",
-                 num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "32")),
-                 include_dashboard=False, logging_level="ERROR")
-    from ray.data import DataContext
-    DataContext.get_current().enable_progress_bars = False
+    _init_ray()
 
     import ray.data as rd
     from .geometry.polygon import PolygonIndex, load_polygon_rings
@@ -750,13 +660,7 @@ def _cmd_report(args) -> int:
     import glob
     import json
 
-    import ray
-    if not ray.is_initialized():
-        ray.init(address="local",
-                 num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "32")),
-                 include_dashboard=False, logging_level="ERROR")
-    from ray.data import DataContext
-    DataContext.get_current().enable_progress_bars = False
+    _init_ray()
 
     import ray.data as rd
     from .pipelines.report import corpus_report
@@ -775,13 +679,7 @@ def _cmd_report(args) -> int:
 def _cmd_pack_seqs(args) -> int:
     import glob
 
-    import ray
-    if not ray.is_initialized():
-        ray.init(address="local",
-                 num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "32")),
-                 include_dashboard=False, logging_level="ERROR")
-    from ray.data import DataContext
-    DataContext.get_current().enable_progress_bars = False
+    _init_ray()
 
     import ray.data as rd
     from .sources.tables import strip_schema_metadata

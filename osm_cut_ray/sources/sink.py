@@ -148,16 +148,20 @@ def write_cut_result(result, sink: Sink) -> dict:
     reference's element order; returns sink.close()'s counts.
 
     The broadcast CutResult preserves input document order (filters
-    only), but the shuffle dict's row order is hash-join-dependent —
-    so the dict branch restores id order per kind with an output-sized
-    sort. OSM dumps are id-sorted within kind, which makes the two
-    strategies' sink output byte-identical on standard inputs.
+    only, executed with Ray Data's ``preserve_order`` so blocks are
+    emitted in input order rather than completion order), but the
+    shuffle dict's row order is hash-join-dependent — so the dict
+    branch restores id order per kind with an output-sized sort. OSM
+    dumps are id-sorted within kind, which makes the two strategies'
+    sink output byte-identical on standard inputs.
     """
     if isinstance(result, dict):  # cut_shuffle output shape
         trio = (result["nodes"].sort("id"), result["ways"].sort("id"),
                 _shuffle_relations(result).sort("id"))
     else:
         trio = (result.nodes, result.ways, result.relations)
+        for ds in trio:
+            ds.context.execution_options.preserve_order = True
     for kind, ds in zip(KINDS, trio):
         for batch in ds.iter_batches(batch_size=None,
                                      batch_format="pyarrow"):
